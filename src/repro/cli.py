@@ -70,9 +70,9 @@ from repro.resilience.supervisor import FAIL_FAST, SUPERVISED, Supervision
 from repro.serve.service import (
     DEFAULT_ENTROPY_THRESHOLD,
     REFRESH_POLICIES,
-    SERVE_METHODS,
-    SERVICE_CORES,
+    check_core,
 )
+from repro.stream.engine import STREAM_METHODS
 
 #: Registry of CLI method names.  Factories take no arguments; tuning is
 #: done through the library API.
@@ -133,6 +133,14 @@ def _add_on_error_arg(parser: argparse.ArgumentParser) -> None:
             "them (see docs/robustness.md)"
         ),
     )
+
+
+def _engine_arg(value: str) -> str:
+    """``--engine`` type: the service's core check, as a usage error."""
+    try:
+        return check_core(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _make_obs(args: argparse.Namespace) -> Obs:
@@ -307,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="refresh the labels after ingesting (default: none)",
     )
     ingest.add_argument(
-        "--method", default="incestimate", choices=sorted(SERVE_METHODS)
+        "--method", default="incestimate", choices=sorted(STREAM_METHODS)
     )
     _add_on_error_arg(ingest)
     _add_obs_args(ingest)
@@ -344,16 +352,15 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--method", default="incestimate", choices=sorted(SERVE_METHODS)
+        "--method", default="incestimate", choices=sorted(STREAM_METHODS)
     )
     serve.add_argument(
         "--engine",
-        default="replay",
-        choices=sorted(SERVICE_CORES),
+        default="stream",
+        type=_engine_arg,
         help=(
-            "incremental core: 'replay' continues the carried session "
-            "snapshot, 'stream' consumes the vote stream with O(sources) "
-            "state and append-only trajectory writes (default: replay)"
+            "continuation core; only 'stream' (the default) is accepted, "
+            "and the flag is kept for callers that still pass it"
         ),
     )
     serve.add_argument(

@@ -161,6 +161,15 @@ _REQUIRED_FIELDS: dict[str, tuple[str, ...]] = {
         "entropy_mass",
         "seconds",
     ),
+    "stream_epoch": (
+        "epoch",
+        "base",
+        "time_points",
+        "labels",
+        "rows",
+        "new_sources",
+        "compact_before",
+    ),
     "refresh_failed": (
         "policy",
         "reason",

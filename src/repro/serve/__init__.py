@@ -8,11 +8,10 @@ escalation) with the epoch-replay semantics documented in
 API.  The CLI front door is ``repro serve`` / ``repro ingest`` /
 ``repro query``.
 
-Incremental refreshes run on one of two cores (``core=``, CLI
-``--engine``): the default ``replay`` carry/graft continuation, or the
-``stream`` core (:mod:`repro.stream`) whose continuation state is
-O(sources) and whose refreshes append trajectory rows instead of
-rewriting the table — see ``docs/streaming.md``.
+Every refresh and every :meth:`~CorroborationService.verify` runs on one
+continuation core, the stream engine (:mod:`repro.stream`): its state is
+O(sources) and each refresh appends trajectory rows instead of rewriting
+the table — see ``docs/streaming.md``.
 """
 
 from repro.serve.http import (
@@ -24,7 +23,6 @@ from repro.serve.http import (
 from repro.serve.service import (
     DEFAULT_ENTROPY_THRESHOLD,
     REFRESH_POLICIES,
-    SERVE_METHODS,
     SERVICE_CORES,
     SERVICE_STATES,
     AdmissionRejected,
@@ -33,8 +31,6 @@ from repro.serve.service import (
     RefreshFailure,
     ServeRejected,
     ServiceDraining,
-    carry_from_snapshot,
-    graft_snapshot,
 )
 from repro.serve.telemetry import (
     ACCESS_LOG_FIELDS,
@@ -59,13 +55,10 @@ __all__ = [
     "ROUTES",
     "RefreshDecision",
     "RefreshFailure",
-    "SERVE_METHODS",
     "SERVICE_CORES",
     "SERVICE_STATES",
     "ServeRejected",
     "ServiceDraining",
-    "carry_from_snapshot",
-    "graft_snapshot",
     "make_server",
     "read_access_log",
     "validate_access_log",

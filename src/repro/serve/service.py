@@ -10,34 +10,28 @@ of the paper's incremental algorithm — IncEstHeu's ΔH heuristic scores
 against the groups still on the table, so the order votes arrived in is
 part of the problem statement, not an implementation accident.
 
-Three refresh policies choose *how* an epoch obtains its starting state:
+Every epoch runs on one continuation core, :class:`~repro.stream
+.StreamEngine`: the carried state is the per-source counter triples
+anchored by the epoch-0 prior (Equation 8), and each refresh appends its
+own labels and trajectory rows (``docs/streaming.md``).  Three refresh
+policies decide whether the stored history is checked first:
 
-``full``
-    Cold replay: rebuild the continuation state by re-running every
-    committed epoch from the ingest log, verifying the stored labels
-    against the replayed ones along the way (trust-but-verify), then run
-    the new epoch.  O(total facts) but depends on nothing cached.
 ``incremental``
-    Warm continuation: load the persisted carry state of the last epoch
-    and run only the new facts.  O(new facts).  Bit-identical to ``full``
-    — both produce the same labels, probabilities and trust trajectory,
-    because a restored session continues bit-identically (the
-    checkpoint/resume guarantee of :class:`~repro.core.session
-    .CorroborationSession`) and the carry state *is* a checkpoint.
+    Run the new epoch from the stored continuation state.  O(new facts).
+``full``
+    Trust but verify: :meth:`CorroborationService.verify` re-runs every
+    committed epoch cold from the ingest log and requires the stored
+    labels and continuation state to match bit for bit, then the new
+    epoch runs exactly as under ``incremental``.
 ``entropy``
-    Adaptive: incremental while the dirty batch is easy, full replay when
+    Adaptive: incremental while the dirty batch is easy, ``full`` when
     the pending facts carry ≥ ``entropy_threshold`` bits of uncertainty
     mass Σ n·H(σ(FG)) under the current trust — the regime where a
     verify pass is worth its cost.
 
-The continuation state ("carry") is a grafted session snapshot: each
-epoch builds a fresh session over its delta dataset (all known sources,
-pending facts only), takes the fresh session's :meth:`snapshot` as a
-template, and splices the carried trajectory, counters and verdict
-history into it before :meth:`restore` — new sources enter with the
-default trust λ and the epoch-0 prior, exactly as they would have had
-they been present (voteless) from the start.  See ``docs/serving.md``
-for the full argument.
+Stores written by older builds hold a ``serve-epoch-carry`` state; it is
+read through :meth:`~repro.stream.StreamState.from_replay_carry`, so they
+keep serving without a rebuild.
 
 Fault tolerance (``docs/robustness.md`` — "Serving under failure"): the
 service runs a real state machine ``starting | healthy | degraded |
@@ -64,9 +58,6 @@ from typing import Callable
 
 from repro.core.entropy import binary_entropy
 from repro.core.fact_groups import group_facts, group_probability
-from repro.core.incestimate import IncEstimate
-from repro.core.result import CorroborationResult
-from repro.core.selection import IncEstHeu, IncEstPS
 from repro.model.dataset import Dataset
 from repro.model.matrix import FactId, VoteMatrix
 from repro.model.votes import Vote
@@ -75,44 +66,20 @@ from repro.obs.context import current_trace_id
 from repro.obs.prom import render_prometheus
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.errors import ErrorPolicy
-from repro.resilience.supervisor import (
-    FAIL_FAST,
-    GuardedRunLog,
-    MethodDiverged,
-    MethodTimeout,
-    Supervision,
-    scan_result_non_finite,
-)
+from repro.resilience.supervisor import FAIL_FAST, MethodTimeout, Supervision
 from repro.store.ledger import IngestBatch, LedgerError, VoteLedger
-from repro.stream.engine import (
-    REPLAY_CARRY_FORMAT,
-    STREAM_STATE_FORMAT,
-    CompactionPolicy,
-    StreamEngine,
-    StreamState,
-)
+from repro.stream.engine import CompactionPolicy, StreamEngine, StreamState
 
 #: Refresh policies the service understands (CLI ``--refresh`` choices).
 REFRESH_POLICIES = ("full", "incremental", "entropy")
 
-#: Methods the service can serve: the session-based incremental ones.
-SERVE_METHODS = ("incestimate", "incestimate-ps")
-
-#: Refresh cores the service can run on (CLI ``--engine`` choices):
-#: ``replay`` carries/grafts whole session snapshots per epoch (the
-#: semantic oracle), ``stream`` runs :class:`~repro.stream.StreamEngine`
-#: — O(sources) state, append-only trajectory writes, optional
-#: compaction.  Both produce bit-identical labels, trust and trajectories
-#: (``tests/test_stream_oracle.py``), and a store can switch cores at any
-#: refresh boundary.
-SERVICE_CORES = ("replay", "stream")
+#: Continuation cores the service can run on (``core=``, CLI ``--engine``).
+#: The stream engine is the only one; the option stays for callers that
+#: still pass it.
+SERVICE_CORES = ("stream",)
 
 #: Default dirty-entropy threshold (bits) of the ``entropy`` policy.
 DEFAULT_ENTROPY_THRESHOLD = 64.0
-
-#: Format marker of the persisted replay continuation state (defined in
-#: :mod:`repro.stream.engine` so both layers agree on it).
-CARRY_FORMAT = REPLAY_CARRY_FORMAT
 
 #: The serving state machine, in lifecycle order.  ``/healthz`` returns
 #: 503 for every state but ``healthy`` so orchestrators can gate on it.
@@ -154,7 +121,7 @@ class RefreshDecision:
     """What one :meth:`CorroborationService.refresh` call did and why."""
 
     policy: str
-    action: str  # "full" | "incremental" | "stream" | "none" | "skipped"
+    action: str  # "stream" | "full" | "none" | "skipped"
     epoch: int | None
     dirty_facts: int
     entropy_mass: float | None
@@ -187,117 +154,27 @@ class RefreshFailure:
         return {"action": "failed", **dataclasses.asdict(self)}
 
 
-def _make_estimator(method: str, engine: bool, obs: Obs) -> IncEstimate:
-    if method not in SERVE_METHODS:
+def check_core(core: str) -> str:
+    """Validate a ``core=`` / ``--engine`` value; returns it unchanged."""
+    if core not in SERVICE_CORES:
         raise ValueError(
-            f"unknown serve method {method!r}; expected one of {SERVE_METHODS}"
+            f"unknown refresh core {core!r}; expected one of "
+            f"{SERVICE_CORES}. Stores written by the removed 'replay' core "
+            "keep serving: the stream core reads their serve-epoch-carry "
+            "state in place (StreamState.from_replay_carry)"
         )
-    strategy = IncEstHeu() if method == "incestimate" else IncEstPS()
-    return IncEstimate(strategy, engine=engine, obs=obs)
+    return core
 
 
-def carry_from_snapshot(snapshot: dict, prior: float, epoch: int) -> dict:
-    """Distil a finalized epoch's session snapshot into the carry state.
+def _continuation(state: StreamState | None) -> tuple | None:
+    """What :meth:`CorroborationService.verify` compares of a state.
 
-    The carry is backend-neutral: per-source ``[correct, total, trust]``
-    counter triples keyed by source id (extracted from the engine's
-    position-ordered lists or the scalar dicts), the full trajectory
-    state, the verdict history, and the epoch-0 prior ``k0`` that anchors
-    every later source's counters.
+    Everything but the compaction watermark, which depends on the
+    retention setting, not on the log.
     """
-    sources = list(snapshot["trajectory"]["sources"])
-    counters: dict[str, list[float]] = {}
-    if "engine" in snapshot:
-        engine = snapshot["engine"]
-        for index, source in enumerate(sources):
-            counters[source] = [
-                float(engine["correct"][index]),
-                float(engine["total"][index]),
-                float(engine["trust"][index]),
-            ]
-    else:
-        scalar = snapshot["scalar"]
-        for source in sources:
-            counters[source] = [
-                float(scalar["correct"][source]),
-                float(scalar["total"][source]),
-                float(scalar["trust"][source]),
-            ]
-    return {
-        "format": CARRY_FORMAT,
-        "epoch": epoch,
-        "prior": prior,
-        "time_point": snapshot["time_point"],
-        "sources": sources,
-        "counters": counters,
-        "trajectory": snapshot["trajectory"],
-        "probabilities": snapshot["probabilities"],
-        "label_overrides": snapshot["label_overrides"],
-        "rounds": snapshot["rounds"],
-    }
-
-
-def graft_snapshot(base: dict, carry: dict, default_trust: float) -> dict:
-    """Splice ``carry`` into a fresh delta session's snapshot ``base``.
-
-    ``base`` must be the :meth:`~repro.core.session.CorroborationSession
-    .snapshot` of a *freshly constructed* session over the epoch's delta
-    dataset — its fingerprint, params and group state stay; the carried
-    trajectory, counters and verdict history replace the blank ones.  The
-    delta dataset registers the carried sources first, in their original
-    order, so they form a prefix of the delta source list; sources the
-    carry has never seen get the default trust λ and the epoch-0 prior
-    ``k0`` — the counters they would have had as voteless sources from
-    the start (``correct = λ·k0, total = k0``, Equation 8).
-
-    ``finalized`` is forced ``False`` so the epoch's own finalize records
-    its trust vector (a finalized snapshot would suppress it).
-    """
-    if carry.get("format") != CARRY_FORMAT:
-        raise LedgerError(f"not a {CARRY_FORMAT} state: {carry.get('format')!r}")
-    grafted = dict(base)
-    delta_sources = list(base["trajectory"]["sources"])
-    carried = set(carry["sources"])
-    if carry["sources"] != delta_sources[: len(carry["sources"])]:
-        raise LedgerError(
-            "carried sources are not a prefix of the delta source list; "
-            "the store's position order was violated"
-        )
-    prior = float(carry["prior"])
-    history = [
-        {s: vector.get(s, default_trust) for s in delta_sources}
-        for vector in carry["trajectory"]["history"]
-    ]
-    grafted["trajectory"] = {
-        "sources": delta_sources,
-        "history": history,
-        "evaluation_time": dict(carry["trajectory"]["evaluation_time"]),
-    }
-    grafted["time_point"] = carry["time_point"]
-    grafted["finalized"] = False
-    grafted["probabilities"] = dict(carry["probabilities"])
-    grafted["label_overrides"] = dict(carry["label_overrides"])
-    grafted["rounds"] = list(carry["rounds"])
-    counters = carry["counters"]
-    fresh = [default_trust * prior, prior, default_trust]
-
-    def triple(source: str) -> list[float]:
-        return list(counters[source]) if source in carried else list(fresh)
-
-    if "engine" in base:
-        engine = dict(base["engine"])
-        engine["correct"] = [triple(s)[0] for s in delta_sources]
-        engine["total"] = [triple(s)[1] for s in delta_sources]
-        engine["trust"] = [triple(s)[2] for s in delta_sources]
-        grafted["engine"] = engine
-        grafted["evaluated_count"] = len(carry["probabilities"])
-    else:
-        scalar = dict(base["scalar"])
-        scalar["correct"] = {s: triple(s)[0] for s in delta_sources}
-        scalar["total"] = {s: triple(s)[1] for s in delta_sources}
-        scalar["trust"] = {s: triple(s)[2] for s in delta_sources}
-        grafted["scalar"] = scalar
-    return grafted
+    if state is None:
+        return None
+    return (state.epoch, state.prior, state.base, list(state.counters.items()))
 
 
 class CorroborationService:
@@ -310,20 +187,16 @@ class CorroborationService:
             ``incestimate-ps`` (popularity-size selection).
         refresh: one of :data:`REFRESH_POLICIES` (see module docstring).
         entropy_threshold: bits of dirty entropy mass at which the
-            ``entropy`` policy escalates to a full replay.
+            ``entropy`` policy escalates to a ``full`` refresh.
         engine: array engine (default) or scalar reference backend.
-        core: one of :data:`SERVICE_CORES` — ``replay`` (default) runs
-            refreshes through the epoch carry/graft machinery; ``stream``
-            runs them through :class:`~repro.stream.StreamEngine` (see
-            ``docs/streaming.md``).  Policy semantics carry over: under
-            the stream core ``full`` (and an ``entropy`` escalation)
-            still runs the verified cold replay, which also rebuilds any
-            compacted trajectory rows.
-        compaction: trajectory compaction for the stream core — a
+        core: one of :data:`SERVICE_CORES`; ``stream`` (the default and
+            only value) runs every refresh and :meth:`verify` through
+            :class:`~repro.stream.StreamEngine` (``docs/streaming.md``).
+        compaction: trajectory compaction — a
             :class:`~repro.stream.CompactionPolicy`, a bare
             ``retain_points`` int, or ``None`` to keep the full
-            trajectory (the bit-identical-to-replay default).  Ignored
-            by the replay core.
+            trajectory (the default).  Compacted rows are gone for good;
+            labels and trust never depend on them.
         obs: observability bundle; refreshes emit ``refresh`` ledger
             records, ``serve.*`` metrics and session spans.
         supervision: NaN-watchdog / wall-clock guards applied to every
@@ -359,7 +232,7 @@ class CorroborationService:
         refresh: str = "incremental",
         entropy_threshold: float = DEFAULT_ENTROPY_THRESHOLD,
         engine: bool = True,
-        core: str = "replay",
+        core: str = "stream",
         compaction: CompactionPolicy | int | None = None,
         obs: Obs = NULL_OBS,
         supervision: Supervision = FAIL_FAST,
@@ -375,31 +248,23 @@ class CorroborationService:
                 f"unknown refresh policy {refresh!r}; "
                 f"expected one of {REFRESH_POLICIES}"
             )
-        if core not in SERVICE_CORES:
-            raise ValueError(
-                f"unknown refresh core {core!r}; "
-                f"expected one of {SERVICE_CORES}"
-            )
+        check_core(core)
         if max_pending is not None and max_pending < 1:
             raise ValueError("max_pending must be >= 1 (or None to disable)")
         self.ledger = ledger
         self.method = method
         self.refresh_policy = refresh
         self.entropy_threshold = float(entropy_threshold)
-        self.engine = engine
         self.core = core
         self.compaction = CompactionPolicy.coerce(compaction)
-        self.stream_engine: StreamEngine | None = None
-        if core == "stream":
-            self.stream_engine = StreamEngine(
-                method=method,
-                engine=engine,
-                obs=obs,
-                supervision=supervision,
-                compaction=self.compaction,
-            )
+        self.stream_engine = StreamEngine(
+            method=method,
+            engine=engine,
+            obs=obs,
+            supervision=supervision,
+            compaction=self.compaction,
+        )
         self.obs = obs
-        self.supervision = supervision
         self.max_pending = max_pending
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self.request_deadline_s = request_deadline_s
@@ -414,8 +279,6 @@ class CorroborationService:
         self._draining = False
         self._starting = True
         self._lock = threading.RLock()
-        # Validate the method name eagerly, not on the first refresh.
-        _make_estimator(method, engine, NULL_OBS)
         state = self.ledger.load_session_state()
         #: The epoch queries fall back to while degraded.
         self.last_good_epoch: int | None = None if state is None else state[0]
@@ -448,21 +311,14 @@ class CorroborationService:
     # ------------------------------------------------------------------
     # Epoch machinery
     # ------------------------------------------------------------------
-    def _session_obs(self) -> Obs:
-        obs = self.obs
-        if self.supervision.needs_guard:
-            guard = GuardedRunLog(obs.runlog, self.supervision, self.method)
-            obs = Obs(tracer=obs.tracer, metrics=obs.metrics, runlog=guard)
-        return obs
-
     def _delta_dataset(self, facts: list[FactId], last_batch: int) -> Dataset:
         """The epoch's problem instance: pending facts, all known sources.
 
         Every source with ``batch_id <= last_batch`` registers *first*, in
         store position order — carried sources therefore form a prefix of
-        the delta source list (what :func:`graft_snapshot` requires) and a
-        replayed epoch sees the exact source set that existed when it
-        originally ran.
+        the delta source list (what :func:`~repro.stream.stream_graft`
+        requires) and a replayed epoch sees the exact source set that
+        existed when it originally ran.
         """
         matrix = VoteMatrix()
         for source in self.ledger.sources_up_to_batch(last_batch):
@@ -474,97 +330,67 @@ class CorroborationService:
                 matrix.add_vote(fact, source, Vote.from_symbol(symbol))
         return Dataset(matrix=matrix, truth={}, name=self.ledger.name)
 
-    def _run_epoch(
-        self,
-        delta: Dataset,
-        carry: dict | None,
-        epoch: int,
-        deadline: float | None = None,
-    ) -> tuple[CorroborationResult, dict]:
-        """Run one epoch; returns its result and the next carry state.
+    def _replay_epochs(self, deadline: float | None = None) -> None:
+        """Re-run every committed epoch cold from the log and check it.
 
-        ``deadline`` is an absolute ``time.monotonic`` instant (the
-        per-request budget); it combines with the supervision wall-clock
-        budget by taking whichever expires first.  Blowing either raises
-        :class:`~repro.resilience.supervisor.MethodTimeout` *before*
-        anything is persisted, so the abort is clean.
+        Each epoch runs on the stream engine from ``state=None`` over the
+        facts it labelled, and every stored label row (probability,
+        label, flip, time point) must equal the re-run's exactly.  The
+        rebuilt continuation state must then equal the stored one bit for
+        bit (counters, prior, base, epoch).  Any difference means the
+        store and the log disagree and raises
+        :class:`~repro.store.LedgerError`.
         """
-        estimator = _make_estimator(self.method, self.engine, self._session_obs())
-        session = estimator.session(delta)
-        if carry is None:
-            prior = estimator.trust_prior_strength * delta.matrix.num_facts
-        else:
-            prior = float(carry["prior"])
-            session.restore(
-                graft_snapshot(session.snapshot(), carry, estimator.default_trust)
+        stored = {
+            fact: (
+                row["probability"],
+                row["label"],
+                row["flipped"],
+                row["time_point"],
             )
-        if self.supervision.wall_clock_budget_s is not None:
-            budget = time.monotonic() + self.supervision.wall_clock_budget_s
-            deadline = budget if deadline is None else min(deadline, budget)
-        while not session.done:
-            session.step()
-            if deadline is not None and time.monotonic() > deadline:
-                raise MethodTimeout(
-                    f"epoch {epoch} exceeded its time budget"
-                )
-        result = session.finalize()
-        if self.supervision.nan_watchdog:
-            where = scan_result_non_finite(result)
-            if where is not None:
-                raise MethodDiverged(
-                    f"epoch {epoch} produced a non-finite value at {where}"
-                )
-        return result, carry_from_snapshot(session.snapshot(), prior, epoch)
-
-    def _replay_epochs(
-        self, *, verify: bool = True, deadline: float | None = None
-    ) -> dict | None:
-        """Rebuild the carry by replaying every committed epoch from the log.
-
-        With ``verify`` (always on for ``full`` refreshes) each replayed
-        epoch's probabilities are compared — exactly, no tolerance —
-        against the stored labels; a mismatch means the store and the log
-        disagree and raises :class:`~repro.store.LedgerError`.
-        """
-        carry: dict | None = None
-        stored = self.ledger.labels_map() if verify else {}
+            for fact, row in self.ledger.labels_map().items()
+        }
+        rebuilt: StreamState | None = None
         for row in self.ledger.list_epochs():
             epoch = int(row["epoch"])
             facts = self.ledger.facts_in_epoch(epoch)
             delta = self._delta_dataset(facts, int(row["last_batch"]))
-            result, carry = self._run_epoch(delta, carry, epoch, deadline)
-            if verify:
-                for fact in facts:
-                    replayed = result.probabilities[fact]
-                    if replayed != stored[fact]["probability"]:
-                        raise LedgerError(
-                            f"replay mismatch at epoch {epoch}, fact "
-                            f"{fact!r}: stored probability "
-                            f"{stored[fact]['probability']!r}, replayed "
-                            f"{replayed!r}"
-                        )
-        return carry
+            _, out, rebuilt = self.stream_engine.run_epoch(
+                delta, rebuilt, epoch, deadline=deadline
+            )
+            for label in out.labels:
+                got = stored[label["fact"]]
+                want = (
+                    label["probability"],
+                    int(label["label"]),
+                    int(label["flipped"]),
+                    label["time_point"],
+                )
+                if got != want:
+                    raise LedgerError(
+                        f"replay mismatch at epoch {epoch}, fact "
+                        f"{label['fact']!r}: stored {got!r}, replayed {want!r}"
+                    )
+        saved = self.ledger.load_session_state()
+        state = None if saved is None else StreamState.from_stored(saved[1])
+        if _continuation(state) != _continuation(rebuilt):
+            raise LedgerError(
+                "replay mismatch in the continuation state: the stored "
+                "trust counters differ from a cold re-run of the log"
+            )
 
-    def _dirty_entropy_mass(self, delta: Dataset, carry: dict | None) -> float:
+    def _dirty_entropy_mass(self, delta: Dataset, state: StreamState) -> float:
         """Σ n·H(σ(FG)) over the pending fact groups, in bits.
 
-        σ(FG) is Equation 5 under the *current* trust vector (the last
-        carried time point; λ for sources the carry has never seen) — the
-        uncertainty the next refresh would have to destroy.  Accepts
-        either continuation format: a stream state's counter trust *is*
-        the last carried time point (the final vector a replay carry's
-        history ends with), so the escalation decision is identical
-        across cores.
+        σ(FG) is Equation 5 under the *current* trust vector (the carried
+        counter trust; λ for sources the state has never seen) — the
+        uncertainty the next refresh would have to destroy.
         """
-        estimator = _make_estimator(self.method, self.engine, NULL_OBS)
-        last: dict = {}
-        if carry is not None:
-            if carry.get("format") == STREAM_STATE_FORMAT:
-                last = {s: c[2] for s, c in carry["counters"].items()}
-            elif carry["trajectory"]["history"]:
-                last = carry["trajectory"]["history"][-1]
+        estimator = self.stream_engine.estimator()
         trust = {
-            s: last.get(s, estimator.default_trust)
+            s: state.counters[s][2]
+            if s in state.counters
+            else estimator.default_trust
             for s in delta.matrix.sources
         }
         mass = 0.0
@@ -578,27 +404,21 @@ class CorroborationService:
     def _run_stream_epoch(
         self,
         delta: Dataset,
-        state: tuple[int, dict] | None,
+        state: StreamState | None,
         epoch: int,
         last_batch: int,
         entropy_mass: float | None,
         deadline: float | None,
     ) -> None:
-        """One stream-core refresh: run the epoch, persist its delta.
+        """Run one epoch and persist its bounded delta.
 
-        The stored continuation converts via
-        :meth:`StreamState.from_stored` regardless of which core wrote
-        it, and the epoch's bounded output (new labels, new trajectory
-        rows, λ-backfill for sources that joined this epoch, the
-        compaction watermark) lands in one store transaction through
-        :meth:`~repro.store.ledger.VoteLedger.record_stream_epoch`.
+        The epoch's output (new labels, new trajectory rows, λ-backfill
+        for sources that joined this epoch, the compaction watermark
+        carried forward from ``state``) lands in one store transaction
+        through :meth:`~repro.store.ledger.VoteLedger.record_stream_epoch`.
         """
-        assert self.stream_engine is not None
-        stream_state = (
-            None if state is None else StreamState.from_stored(state[1])
-        )
         _result, stream_delta, next_state = self.stream_engine.run_epoch(
-            delta, stream_state, epoch, deadline=deadline
+            delta, state, epoch, deadline=deadline
         )
         stats = self.ledger.record_stream_epoch(
             epoch=epoch,
@@ -629,10 +449,12 @@ class CorroborationService:
     def refresh(self, *, force: str | None = None) -> RefreshDecision:
         """Bring the store's labels up to date with its votes.
 
-        Decides full-vs-incremental per the configured policy (``force``
-        overrides it for one call), runs the epoch, and persists labels,
-        trajectory, epoch row and carry state in one store transaction.
-        With nothing pending this is a cheap no-op (``action="none"``).
+        Decides per the configured policy (``force`` overrides it for one
+        call) whether to :meth:`verify` the stored history first
+        (``action="full"``) or not (``action="stream"``), runs the epoch,
+        and persists labels, new trajectory rows, epoch row and
+        continuation state in one store transaction.  With nothing
+        pending this is a cheap no-op (``action="none"``).
 
         The run is wrapped in a ``serve.refresh`` span carrying the
         request's trace ID when one is bound (see
@@ -676,60 +498,25 @@ class CorroborationService:
             deadline = time.monotonic() + self.request_deadline_s
         delta = self._delta_dataset(pending, last_batch)
         policy = force or self.refresh_policy
+        stream_state = (
+            None if state is None else StreamState.from_stored(state[1])
+        )
         entropy_mass: float | None = None
         threshold: float | None = None
-        if policy == "entropy" and state is not None:
+        if policy == "entropy" and stream_state is not None:
             threshold = self.entropy_threshold
-            entropy_mass = self._dirty_entropy_mass(delta, state[1])
-        wants_full = policy == "full" or (
+            entropy_mass = self._dirty_entropy_mass(delta, stream_state)
+        action = "stream"
+        if policy == "full" or (
             threshold is not None and entropy_mass >= threshold
+        ):
+            # Trust but verify: the history this epoch builds on must be
+            # what a cold re-run of the log produces.
+            action = "full"
+            self._replay_epochs(deadline)
+        self._run_stream_epoch(
+            delta, stream_state, epoch, last_batch, entropy_mass, deadline
         )
-        if self.core == "stream" and not wants_full:
-            # Stream path: vote in → bounded deltas out, no replay.  The
-            # first epoch streams from scratch; a replay-format carry
-            # left by the other core (or a prior full refresh) converts
-            # in place.
-            action = "stream"
-            self._run_stream_epoch(
-                delta, state, epoch, last_batch, entropy_mass, deadline
-            )
-        else:
-            if state is None:
-                # Nothing to continue from: the first epoch is a full
-                # run by definition.
-                action = "full"
-                carry: dict | None = None
-            elif wants_full or state[1].get("format") != CARRY_FORMAT:
-                # Policy escalation, or the stored continuation is the
-                # stream core's — the replay core rebuilds its carry
-                # with one verified cold replay (which also restores
-                # any compacted trajectory rows).
-                action = "full"
-                carry = self._replay_epochs(verify=True, deadline=deadline)
-            else:
-                action = "incremental"
-                carry = state[1]
-            result, next_carry = self._run_epoch(delta, carry, epoch, deadline)
-            labels = [
-                {
-                    "fact": fact,
-                    "probability": result.probabilities[fact],
-                    "label": result.label(fact),
-                    "flipped": fact in result.label_overrides,
-                    "time_point": result.trajectory.evaluation_time(fact),
-                }
-                for fact in pending
-            ]
-            self.ledger.record_epoch(
-                epoch=epoch,
-                action=action,
-                last_batch=last_batch,
-                entropy_mass=entropy_mass,
-                labels=labels,
-                trajectory=next_carry["trajectory"]["history"],
-                state=next_carry,
-                time_points=len(next_carry["trajectory"]["history"]),
-            )
         decision = RefreshDecision(
             policy=policy,
             action=action,
@@ -906,9 +693,13 @@ class CorroborationService:
             return batch, None
 
     def verify(self) -> int:
-        """Replay the full log against the stored labels; facts checked."""
+        """Re-run the log cold and check labels and trust; facts checked.
+
+        Raises :class:`~repro.store.LedgerError` when any stored label or
+        the stored continuation state differs from the re-run.
+        """
         with self._lock:
-            self._replay_epochs(verify=True)
+            self._replay_epochs()
             return self.ledger.counts()["labels"]
 
     def _query_span_args(self, **args) -> dict:

@@ -6,7 +6,7 @@ storage half of the serving layer: batch pipelines ``import_dataset`` a
 :class:`~repro.model.dataset.Dataset` into it, the corroboration service
 (:mod:`repro.serve`) appends vote batches through ``ingest_votes`` and
 persists each refresh epoch's verdicts transactionally through
-``record_epoch``, and ``export_dataset`` round-trips the stored matrix
+``record_stream_epoch``, and ``export_dataset`` round-trips the stored matrix
 back into a ``Dataset`` losslessly — same facts, sources, votes, truth,
 golden set and *registration order*.
 
@@ -779,70 +779,6 @@ class VoteLedger:
             return None
         return int(row["epoch"]), json.loads(row["state"])
 
-    def record_epoch(
-        self,
-        *,
-        epoch: int,
-        action: str,
-        last_batch: int,
-        entropy_mass: float | None,
-        labels: Iterable[dict],
-        trajectory: Iterable[Mapping[SourceId, float]],
-        state: dict,
-        time_points: int,
-    ) -> None:
-        """Persist one refresh epoch's output in a single transaction.
-
-        Writes the new ``labels`` rows, replaces the trust trajectory with
-        the epoch's full history, appends the ``epochs`` row and upserts
-        the continuation ``session_state`` — atomically, so a kill between
-        refresh and commit leaves the previous epoch fully intact (the
-        SQLite transaction is the store's
-        :func:`~repro.resilience.atomic.atomic_write_text`).
-        """
-        label_rows = list(labels)
-        with self._conn:
-            for row in label_rows:
-                self._conn.execute(
-                    "INSERT INTO labels (fact_id, probability, label, flipped, "
-                    "epoch, time_point) VALUES (?, ?, ?, ?, ?, ?)",
-                    (
-                        row["fact"],
-                        row["probability"],
-                        int(row["label"]),
-                        int(row["flipped"]),
-                        epoch,
-                        row["time_point"],
-                    ),
-                )
-            self._conn.execute("DELETE FROM trust_trajectory")
-            for time_point, vector in enumerate(trajectory):
-                self._conn.executemany(
-                    "INSERT INTO trust_trajectory (time_point, source_id, trust) "
-                    "VALUES (?, ?, ?)",
-                    [(time_point, s, float(t)) for s, t in vector.items()],
-                )
-            self._conn.execute(
-                "INSERT INTO epochs (epoch, last_batch, action, facts, "
-                "time_points, entropy_mass, created_at) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?)",
-                (
-                    epoch,
-                    last_batch,
-                    action,
-                    len(label_rows),
-                    time_points,
-                    entropy_mass,
-                    _utc_now(),
-                ),
-            )
-            self._conn.execute(
-                "INSERT INTO session_state (id, epoch, state) VALUES (1, ?, ?) "
-                "ON CONFLICT(id) DO UPDATE SET epoch=excluded.epoch, "
-                "state=excluded.state",
-                (epoch, json.dumps(state, separators=(",", ":"))),
-            )
-
     def record_stream_epoch(
         self,
         *,
@@ -859,17 +795,18 @@ class VoteLedger:
         time_points: int,
         state: dict,
     ) -> dict:
-        """Persist one *streaming* refresh epoch in a single transaction.
+        """Persist one refresh epoch in a single transaction.
 
-        The append-only counterpart of :meth:`record_epoch`: instead of
-        rewriting the whole trajectory, the epoch's ``rows`` are inserted
-        at global time points ``base + i``, late-joining ``new_sources``
-        get λ (``backfill_trust``) rows over the retained prefix
-        ``[backfill_start, base)`` — exactly the densification a replay
-        graft applies to its carried history — and every time point below
+        Append-only: the new ``labels`` rows are inserted, the epoch's
+        ``rows`` land at global time points ``base + i``, late-joining
+        ``new_sources`` get λ (``backfill_trust``) rows over the retained
+        prefix ``[backfill_start, base)`` — the densification that keeps
+        the table a dense time × source grid — and every time point below
         ``compact_before`` is dropped (trajectory compaction; labels and
         continuation state never depend on dropped rows).  The ``epochs``
-        row is recorded with ``action='stream'``.
+        row (``action='stream'``) and the continuation ``session_state``
+        commit with them, so a kill between refresh and commit leaves the
+        previous epoch fully intact.
 
         Returns the write accounting (rows appended / backfilled /
         compacted) for the ``stream.*`` metrics.

@@ -4,10 +4,10 @@
 algorithm *without* replaying or grafting any history: the whole carried
 state is the per-source counter triples ``[correct, total, trust]`` plus
 three scalars (:class:`StreamState`), and each epoch emits only its own
-new label rows and trajectory rows (:class:`StreamDelta`).  Epoch replay
-(:mod:`repro.serve`) remains the semantic oracle — the differential
-suite in ``tests/test_stream_oracle.py`` asserts bit-identical labels,
-trust and trajectories on both backends.  See ``docs/streaming.md``.
+new label rows and trajectory rows (:class:`StreamDelta`).  It is the
+only continuation core of :mod:`repro.serve`; the differential suite in
+``tests/test_stream_oracle.py`` pins it bit for bit to an independent
+epoch-replay reference on both backends.  See ``docs/streaming.md``.
 """
 
 from repro.stream.engine import (

@@ -1,12 +1,5 @@
 """The streaming refresh engine and its bounded continuation state.
 
-Epoch replay (:mod:`repro.serve`) continues a stream by grafting the
-*entire* post-finalize session snapshot — full trust history, all
-committed probabilities, every round record — into each new epoch's
-session, and persists each refresh by rewriting the whole trajectory
-table.  Both costs grow with the lifetime of the stream: O(T·S) state
-per refresh for T time points over S sources.
-
 The stream engine keeps only what the algorithm actually feeds back into
 the fixpoint.  Within one epoch, Equations 3–9 depend on exactly three
 things: the pending fact groups, the per-source counters ``(correct,
@@ -24,26 +17,24 @@ counter triples plus three scalars, and each refresh:
    label rows and its **new** trajectory rows only, positioned at the
    global time-point offset ``base``.
 
-Bit-identity with replay falls out of the offset arithmetic: a grafted
-replay epoch records its steps at global time points ``base … base+n``
-(its trajectory already holds ``base`` rows), while the fresh stream
-session records the *same trust values* at local points ``0 … n`` — the
-spliced counters are equal, and the first recorded vector of both is the
-previous epoch's final vector extended with λ for new sources.  Shifting
-the local rows by ``base`` therefore reproduces the replayed table row
-for row, and label time points shift the same way.  The differential
-oracle (``tests/stream_oracle.py``) asserts exactly this, bit for bit.
+State and per-refresh writes are O(sources), however long the stream.
+The differential oracle (``tests/stream_oracle.py``) pins this engine,
+bit for bit, to an independent reference that grafts the *entire*
+session snapshot — full trust history, all committed probabilities —
+into every epoch and rewrites the whole trajectory table: a grafted
+epoch records its steps at global time points ``base … base+n``, while
+the fresh stream session records the *same trust values* at local
+points ``0 … n``, so shifting the local rows by ``base`` reproduces the
+reference table row for row.
 
 :class:`CompactionPolicy` bounds the *persisted* trajectory: a watermark
 ``compact_before`` rises so at most ``retain_points`` time points stay
-in the store, and the engine's own state never grows with stream length
-at all (it is O(S)).  Compaction is lossy only for the recorded history
-— labels and trust are unaffected, because no later epoch reads the
-trajectory — and the ingest log still supports a full cold replay that
-rebuilds every compacted row (the ``full`` refresh policy).
+in the store.  Compaction is permanent — no refresh rebuilds dropped
+rows — and lossy only for the recorded history: labels and trust are
+unaffected, because no later epoch reads the trajectory.
 
 The per-epoch session runs on :class:`~repro.core.arrays.SessionArrays`
-(default), so candidate scoring inside each epoch goes through the PR 6
+(default), so candidate scoring inside each epoch goes through the
 :class:`~repro.core.deltah.DeltaHEngine` pair cache with lazy
 invalidation — only (candidate, other) pairs among the groups the vote
 batch touched are ever rescored.
@@ -73,13 +64,12 @@ from repro.store.ledger import LedgerError
 #: Format marker of the persisted stream continuation state.
 STREAM_STATE_FORMAT = "serve-stream-state"
 
-#: Format marker of the replay layer's epoch-carry state (defined here so
-#: the stream layer can convert replay carries without importing
-#: :mod:`repro.serve`; the service re-exports it as ``CARRY_FORMAT``).
+#: Format marker of the epoch-carry state older builds persisted; read
+#: (never written) through :meth:`StreamState.from_replay_carry`.
 REPLAY_CARRY_FORMAT = "serve-epoch-carry"
 
-#: Methods the stream engine can run (the session-based incremental ones;
-#: mirrors the serve layer's ``SERVE_METHODS``).
+#: Methods the stream engine — and so the service — can run (the
+#: session-based incremental ones; CLI ``--method`` choices).
 STREAM_METHODS = ("incestimate", "incestimate-ps")
 
 
@@ -195,13 +185,13 @@ class StreamState:
 
     @classmethod
     def from_replay_carry(cls, carry: dict) -> "StreamState":
-        """Distil a replay-layer epoch carry into stream state.
+        """Read an older build's epoch carry as stream state (upgrade).
 
         The carry's ``time_point`` is the length of its full history, so
-        it becomes ``base`` directly; a replay refresh always persists
-        the complete trajectory, so the watermark resets to 0.  This is
-        what lets a service switch ``--engine replay`` → ``stream``
-        mid-stream without a rebuild.
+        it becomes ``base`` directly; those builds persisted the complete
+        trajectory, so the watermark is 0.  This is what lets a store
+        written before the stream engine became the only core keep
+        serving without a rebuild.
         """
         if carry.get("format") != REPLAY_CARRY_FORMAT:
             raise LedgerError(
@@ -269,8 +259,7 @@ def stream_graft(base: dict, state: StreamState, default_trust: float) -> dict:
     """Splice carried counter triples into a fresh session's snapshot.
 
     ``base`` must be the snapshot of a *freshly constructed* session over
-    the epoch's delta dataset.  Unlike the replay layer's
-    :func:`~repro.serve.service.graft_snapshot`, nothing else moves: the
+    the epoch's delta dataset.  Only the counters move: the
     trajectory stays empty (the epoch records its own rows from local
     time point 0), probabilities, overrides and rounds stay blank.  The
     carried sources must form a prefix of the delta source list (the
@@ -310,7 +299,7 @@ def stream_graft(base: dict, state: StreamState, default_trust: float) -> dict:
 
 
 class StreamEngine:
-    """Runs refresh epochs directly off the vote stream (no replay).
+    """Runs refresh epochs directly off the vote stream.
 
     Stateless between calls — all continuation state lives in the
     :class:`StreamState` the caller threads through — so one engine can
@@ -356,7 +345,8 @@ class StreamEngine:
             obs = Obs(tracer=obs.tracer, metrics=obs.metrics, runlog=guard)
         return obs
 
-    def _estimator(self) -> IncEstimate:
+    def estimator(self) -> IncEstimate:
+        """A fresh estimator for one epoch (method, backend, guards)."""
         strategy = IncEstHeu() if self.method == "incestimate" else IncEstPS()
         return IncEstimate(strategy, engine=self.engine, obs=self._session_obs())
 
@@ -384,7 +374,7 @@ class StreamEngine:
         call.
         """
         started = time.perf_counter()
-        estimator = self._estimator()
+        estimator = self.estimator()
         with self.obs.tracer.span(
             "stream.epoch", epoch=epoch, facts=delta.matrix.num_facts
         ):

@@ -93,7 +93,7 @@ def test_incremental_bit_identical_to_full(tmp_path, dataset):
     led_full, _, dec_full = drive(tmp_path, dataset, "full", tag="full")
     led_inc, _, dec_inc = drive(tmp_path, dataset, "incremental", tag="inc")
     assert [d.action for d in dec_full] == ["full"] * len(dec_full)
-    assert [d.action for d in dec_inc][1:] == ["incremental"] * (len(dec_inc) - 1)
+    assert [d.action for d in dec_inc][1:] == ["stream"] * (len(dec_inc) - 1)
     labels_full, trajectory_full = stored_state(led_full)
     labels_inc, trajectory_inc = stored_state(led_inc)
     assert labels_full == labels_inc  # exact — no tolerance
@@ -110,7 +110,7 @@ def test_entropy_policy_matches_and_escalates(tmp_path):
     led_lazy, _, dec_lazy = drive(
         tmp_path, dataset, "entropy", tag="lazy", entropy_threshold=1e9
     )
-    assert [d.action for d in dec_lazy][1:] == ["incremental"] * (
+    assert [d.action for d in dec_lazy][1:] == ["stream"] * (
         len(dec_lazy) - 1
     )
     assert all(
@@ -162,6 +162,30 @@ def test_verify_detects_tampering(tmp_path):
     )
     ledger._conn.commit()
     with pytest.raises(LedgerError, match="replay mismatch"):
+        service.verify()
+    ledger.close()
+
+
+def test_verify_detects_trust_tampering(tmp_path):
+    """One stored trust counter off in its last bit fails verify()."""
+    import math
+
+    ledger = VoteLedger(tmp_path / "s.db")
+    service = CorroborationService(ledger)
+    facts = SMALL_RESTAURANTS.matrix.facts
+    service.apply_votes(vote_rows(SMALL_RESTAURANTS, facts[:40]))
+    service.apply_votes(vote_rows(SMALL_RESTAURANTS, facts[40:60]))
+    assert service.verify() == 60
+    epoch, state = ledger.load_session_state()
+    source = state["sources"][0]
+    trust = state["counters"][source][2]
+    state["counters"][source][2] = math.nextafter(trust, math.inf)
+    with ledger._conn:
+        ledger._conn.execute(
+            "UPDATE session_state SET state = ? WHERE id = 1",
+            (json.dumps(state),),
+        )
+    with pytest.raises(LedgerError, match="continuation state"):
         service.verify()
     ledger.close()
 
@@ -282,7 +306,7 @@ def test_http_statusz(http_service):
     assert body["counts"]["facts"] >= 2
     assert body["ingest"]["batches"] >= 1
     assert body["ingest"]["rows_dropped"] == 0
-    assert body["last_refresh"]["action"] in {"full", "incremental"}
+    assert body["last_refresh"]["action"] == "stream"
     assert body["last_refresh"]["age_seconds"] >= 0.0
 
 
@@ -305,7 +329,7 @@ def test_http_post_votes_and_refresh(http_service):
     )
     assert status == 200
     assert body["new_facts"] == ["f3"]
-    assert body["refresh"]["action"] == "incremental"
+    assert body["refresh"]["action"] == "stream"
     status, fact = get_json(f"{http_service}/facts/f3")
     assert fact["status"] == "corroborated"
 
@@ -352,7 +376,7 @@ def test_cli_ingest_query_roundtrip(tmp_path, capsys):
     )
     out = capsys.readouterr().out
     assert "batch 1 (import)" in out
-    assert '"action": "full"' in out  # first epoch is always a full run
+    assert '"action": "stream"' in out  # the bootstrap epoch streams too
 
     assert cli_main(["query", "--store", store, "--summary"]) == 0
     summary = json.loads(capsys.readouterr().out)

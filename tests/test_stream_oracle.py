@@ -2,8 +2,8 @@
 
 Every test here feeds one seeded adversarial batch schedule (random
 batch sizes, in-batch reordering, duplicate and stale re-deliveries) to
-a ``stream``-core service and a ``replay``-core service and requires the
-two stores to come out bit-identical — labels, trust trajectory, epoch
+the service and to the epoch-replay reference and requires the two
+stores to come out bit-identical — labels, trust trajectory, epoch
 accounting and final continuation trust, on both the array and scalar
 backends.  The helpers live in ``tests/stream_oracle.py``.
 """
@@ -29,6 +29,7 @@ from tests.stream_oracle import (
     assert_identical,
     random_schedule,
     run_differential,
+    implementation,
     run_schedule,
     vote_rows,
 )
@@ -95,8 +96,8 @@ def test_epochs_table_records_stream_action(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Policy interplay: entropy escalation and forced fulls take the replay
-# path on the stream core, then the stream resumes from the replay carry
+# Policy interplay: entropy escalation and forced fulls verify the log
+# first, then the epoch streams on as usual
 # ---------------------------------------------------------------------------
 def test_entropy_escalation_matches_across_cores(tmp_path):
     schedule = random_schedule(RESTAURANTS, 5)
@@ -130,8 +131,8 @@ def test_entropy_escalation_matches_across_cores(tmp_path):
 def test_forced_full_then_stream_resumes(tmp_path):
     base = random_schedule(RESTAURANTS, 9)
     assert len(base) >= 3
-    # Force a verified full replay mid-stream; the stream core must
-    # resume from the replay-format carry it leaves behind.
+    # Force a verified full refresh mid-stream; the stream must carry on
+    # bit-identical to the reference.
     steps = list(base)
     steps[len(steps) // 2] = ScheduleStep(
         rows=steps[len(steps) // 2].rows, force="full"
@@ -143,22 +144,17 @@ def test_forced_full_then_stream_resumes(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Core switching mid-stream: the continuation formats interconvert
+# Upgrade path: a store holding the replay carry older builds wrote
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "first_core,second_core",
-    [("replay", "stream"), ("stream", "replay")],
-)
+@pytest.mark.parametrize("first_core,second_core", [("replay", "stream")])
 def test_core_switch_mid_stream(tmp_path, first_core, second_core):
     schedule = random_schedule(RESTAURANTS, 13)
     assert len(schedule) >= 2
     cut = len(schedule) // 2 or 1
     switched = VoteLedger(tmp_path / "switched.db")
     try:
-        from repro.serve import CorroborationService
-
-        first = CorroborationService(
-            switched, refresh="incremental", core=first_core
+        first = implementation(
+            switched, first_core, refresh="incremental"
         )
         for step in schedule[:cut]:
             if step.rows:
@@ -167,8 +163,8 @@ def test_core_switch_mid_stream(tmp_path, first_core, second_core):
                 )
             if step.refresh:
                 first.refresh(force=step.force)
-        second = CorroborationService(
-            switched, refresh="incremental", core=second_core
+        second = implementation(
+            switched, second_core, refresh="incremental"
         )
         second_decisions = []
         for step in schedule[cut:]:
@@ -178,16 +174,8 @@ def test_core_switch_mid_stream(tmp_path, first_core, second_core):
                 )
             if step.refresh:
                 second_decisions.append(second.refresh(force=step.force))
-        if second_core == "stream":
-            # A replay carry converts in place — no rebuild epoch.
-            assert {d.action for d in second_decisions} <= {"stream", "none"}
-        else:
-            # The replay core rebuilds once from the log, then carries.
-            actions = [
-                d.action for d in second_decisions if d.action != "none"
-            ]
-            assert actions[0] == "full"
-            assert set(actions[1:]) <= {"incremental"}
+        # A replay carry converts in place — no rebuild epoch.
+        assert {d.action for d in second_decisions} <= {"stream", "none"}
         reference, _, _ = run_schedule(
             tmp_path / "reference.db", schedule, core="replay"
         )
@@ -195,6 +183,49 @@ def test_core_switch_mid_stream(tmp_path, first_core, second_core):
         reference.close()
     finally:
         switched.close()
+
+
+@pytest.mark.parametrize("engine", [True, False], ids=["arrays", "scalar"])
+def test_replay_carry_store_verifies_and_takes_a_full(tmp_path, engine):
+    """A store whose state is a replay carry passes verify() as is, and a
+    forced full on it (verify, then stream) stays on the reference."""
+    schedule = random_schedule(RESTAURANTS, 17)
+    cut = len(schedule) // 2 or 1
+    upgraded, _, _ = run_schedule(
+        tmp_path / "upgraded.db", schedule[:cut], core="replay", engine=engine
+    )
+    try:
+        assert upgraded.load_session_state()[1]["format"] == "serve-epoch-carry"
+        service = implementation(upgraded, "stream", engine=engine)
+        assert service.verify() == upgraded.counts()["labels"]
+        steps = list(schedule[cut:])
+        steps[0] = ScheduleStep(rows=steps[0].rows, force="full")
+        actions = []
+        for step in steps:
+            service.apply_votes(step.rows, on_error="quarantine", refresh=False)
+            actions.append(service.refresh(force=step.force).action)
+        assert actions[0] == "full"
+        assert set(actions[1:]) <= {"stream", "none"}
+        assert service.verify() == upgraded.counts()["labels"]
+        reference, _, _ = run_schedule(
+            tmp_path / "reference.db", schedule, core="replay", engine=engine
+        )
+        assert_identical(upgraded, reference)
+        reference.close()
+    finally:
+        upgraded.close()
+
+
+def test_replay_core_is_rejected_with_the_upgrade_path(tmp_path):
+    from repro.serve import CorroborationService
+
+    ledger = VoteLedger(tmp_path / "s.db")
+    try:
+        assert CorroborationService(ledger).core == "stream"
+        with pytest.raises(ValueError, match="from_replay_carry"):
+            CorroborationService(ledger, core="replay")
+    finally:
+        ledger.close()
 
 
 # ---------------------------------------------------------------------------
